@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.notifications import (
@@ -89,6 +89,11 @@ class _WatchedAccount:
     #: Scrape visits so far; combined with the address hash it picks
     #: which infrastructure IP this account's next visit uses.
     visits: int = 0
+    #: ``stable_hash64(address)``, computed once instead of per visit.
+    address_hash: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.address_hash = stable_hash64(self.address)
 
 
 @dataclass(frozen=True)
@@ -328,9 +333,7 @@ class MonitorInfrastructure:
         from the analysis either way; this only pins the raw rows.
         """
         contexts = self._login_contexts
-        index = (stable_hash64(watched.address) + watched.visits) % len(
-            contexts
-        )
+        index = (watched.address_hash + watched.visits) % len(contexts)
         watched.visits += 1
         return contexts[index]
 

@@ -7,6 +7,11 @@ copies of new drafts to the notification store; a daily heartbeat attests
 the account is alive.  The script keeps running after a hijacker changes
 the password — only deletion or provider suspension stops it — which is
 why the paper kept receiving interaction data from hijacked accounts.
+
+The script also implements the runtime's optional wake contract
+(:meth:`HoneyMonitorScript.attach`, :meth:`HoneyMonitorScript.next_due`),
+so a change-driven trigger can skip the ticks where a scan would find
+nothing to report.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.notifications import NotificationKind, NotificationRecord
+from repro.errors import NoSuchMessageError
 from repro.sim.clock import days
 from repro.webmail.account import WebmailAccount
 
@@ -30,6 +36,13 @@ _REPORTED_CHANGES: dict[str, NotificationKind] = {
 
 #: Kinds whose notifications carry a full copy of the message text.
 _CONTENT_KINDS = {NotificationKind.DRAFT, NotificationKind.READ}
+
+#: Relative slack taken off the heartbeat due time in
+#: :meth:`HoneyMonitorScript.next_due`.  ``run`` tests ``now - last >=
+#: period``; rounding can make that true at a ``now`` a few ulps below
+#: ``last + period``, and the slack (orders of magnitude above the
+#: ~1e-16 relative rounding error) keeps the bound from ever being late.
+_DUE_SLACK = 1e-9
 
 
 class HoneyMonitorScript:
@@ -66,6 +79,27 @@ class HoneyMonitorScript:
     def account_address(self) -> str:
         return self._account.address
 
+    def attach(self, wake: Callable[[], None]) -> None:
+        """Call ``wake`` whenever the watched mailbox records a change."""
+        self._account.mailbox.on_change.append(wake)
+
+    def next_due(self) -> float:
+        """A lower bound on the next sim-time at which :meth:`run` can
+        report anything.
+
+        ``-inf`` while changes are pending past the cursor, ``+inf``
+        once the account is blocked (suspension is permanent), else the
+        next heartbeat time minus a float slack.  Running before the
+        bound is a no-op; a trigger that waits past it would diverge
+        from the every-tick scan.
+        """
+        if self._account.is_blocked:
+            return float("inf")
+        if self._account.mailbox.changelog_length > self._cursor:
+            return float("-inf")
+        due = self._last_heartbeat + self._heartbeat_period
+        return due - _DUE_SLACK * (abs(due) + self._heartbeat_period)
+
     def run(self, now: float) -> None:
         """One trigger firing: scan for changes, then maybe heartbeat."""
         self.scan_count += 1
@@ -81,7 +115,7 @@ class HoneyMonitorScript:
                 continue  # "received" is not reported; accounts get no new mail
             try:
                 message = self._account.mailbox.get(change.message_id)
-            except Exception:
+            except NoSuchMessageError:
                 continue  # message deleted between change and scan
             body_copy = (
                 message.text if kind in _CONTENT_KINDS else ""

@@ -177,6 +177,12 @@ class PeriodicBatch:
             return None
         return self._event.time
 
+    @property
+    def event(self) -> Event | None:
+        """The tick event: the one firing while members run, else the
+        pending one (what a member's error handler is given)."""
+        return self._event
+
     def __len__(self) -> int:
         return self._live_members
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.errors import NoSuchMessageError
 from repro.webmail.message import EmailMessage
@@ -62,6 +62,12 @@ class Mailbox:
     )
     _changelog: list[MailboxChange] = field(default_factory=list)
     _minted: int = 0
+    #: Hooks called with no arguments after every changelog append;
+    #: a monitoring script registers its trigger's wake-up here so a
+    #: change-driven scan runs only when something changed.
+    on_change: list[Callable[[], None]] = field(
+        default_factory=list, compare=False, repr=False
+    )
 
     # ------------------------------------------------------------------
     # storage
@@ -86,8 +92,14 @@ class Mailbox:
         self._index[message.message_id] = (folder, message)
         kind = self._ADD_CHANGE_KINDS.get(folder)
         if kind is not None:
-            self._changelog.append(MailboxChange(kind, message.message_id))
+            self._record(kind, message.message_id)
         return message
+
+    def _record(self, kind: str, message_id: str) -> None:
+        """Append one change and call the ``on_change`` hooks."""
+        self._changelog.append(MailboxChange(kind, message_id))
+        for hook in self.on_change:
+            hook()
 
     def get(self, message_id: str) -> EmailMessage:
         """Look up a message by id.
@@ -114,7 +126,7 @@ class Mailbox:
         self._folders[destination].append(message)
         self._index[message_id] = (destination, message)
         if destination is Folder.SENT:
-            self._changelog.append(MailboxChange("sent", message_id))
+            self._record("sent", message_id)
 
     def remove(self, message_id: str) -> EmailMessage:
         """Delete a message outright (used when drafts are discarded)."""
@@ -160,14 +172,14 @@ class Mailbox:
         message = self.get(message_id)
         if not message.flags.read:
             message.flags.read = True
-            self._changelog.append(MailboxChange("read", message_id))
+            self._record("read", message_id)
         return message
 
     def star(self, message_id: str) -> EmailMessage:
         message = self.get(message_id)
         if not message.flags.starred:
             message.flags.starred = True
-            self._changelog.append(MailboxChange("starred", message_id))
+            self._record("starred", message_id)
         return message
 
     def unstar(self, message_id: str) -> EmailMessage:

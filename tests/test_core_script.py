@@ -147,3 +147,81 @@ class TestBlockedAccount:
         script.run(0.0)
         script.run(600.0)
         assert script.scan_count == 2
+
+
+def add_draft(account, subject="ransom"):
+    return account.mailbox.add(
+        Folder.DRAFTS,
+        EmailMessage(
+            sender_name="H", sender_address=account.address,
+            recipient_addresses=("v@x.example",),
+            subject=subject, body="pay in bitcoin", received_at=100.0,
+        ),
+    )
+
+
+class TestVanishedMessages:
+    def test_draft_removed_before_scan_is_skipped(self, account, sink):
+        script = make_script(account, sink)
+        script.run(0.0)
+        draft = add_draft(account)
+        account.mailbox.remove(draft.message_id)
+        script.run(600.0)
+        assert not any(n.kind is NotificationKind.DRAFT for n in sink)
+        # The cursor still moved past the vanished change.
+        assert script.next_due() > 600.0
+        kept = add_draft(account, "kept")
+        script.run(1200.0)
+        drafts = [n for n in sink if n.kind is NotificationKind.DRAFT]
+        assert [n.message_id for n in drafts] == [kept.message_id]
+
+    def test_other_lookup_faults_surface(self, account, sink, monkeypatch):
+        script = make_script(account, sink)
+        script.run(0.0)
+        add_draft(account)
+
+        def broken(message_id):
+            raise RuntimeError("storage fault")
+
+        monkeypatch.setattr(account.mailbox, "get", broken)
+        with pytest.raises(RuntimeError, match="storage fault"):
+            script.run(600.0)
+
+
+class TestWakeContract:
+    def test_next_due_before_first_heartbeat(self, account, sink):
+        assert make_script(account, sink).next_due() == float("-inf")
+
+    def test_next_due_is_a_lower_bound_on_the_heartbeat(self, account, sink):
+        script = make_script(account, sink, heartbeat_period=days(1))
+        script.run(hours(3))
+        due = script.next_due()
+        assert hours(3) + days(1) - 1e-3 < due < hours(3) + days(1)
+
+    def test_pending_change_makes_run_due_now(self, account, sink):
+        message = add_inbox(account)
+        script = make_script(account, sink)
+        script.run(0.0)
+        account.mailbox.mark_read(message.message_id)
+        assert script.next_due() == float("-inf")
+        script.run(600.0)
+        assert script.next_due() > 600.0
+
+    def test_blocked_account_is_never_due(self, account, sink):
+        script = make_script(account, sink)
+        add_inbox(account)
+        account.block("tos", 1.0)
+        assert script.next_due() == float("inf")
+
+    def test_attach_wakes_on_reportable_changes(self, account, sink):
+        wakes = []
+        message = add_inbox(account)
+        script = make_script(account, sink)
+        script.attach(lambda: wakes.append(account.mailbox.changelog_length))
+        account.mailbox.mark_read(message.message_id)
+        account.mailbox.star(message.message_id)
+        account.mailbox.apply_label(message.message_id, "x")  # no change
+        account.mailbox.unstar(message.message_id)  # no change
+        draft = add_draft(account)
+        account.mailbox.move(draft.message_id, Folder.SENT)
+        assert wakes == [2, 3, 4, 5]

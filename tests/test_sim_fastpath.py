@@ -477,6 +477,54 @@ class TestBatchingEndToEndEquivalence:
             unbatched.analysis
         )
 
+    def test_change_driven_scans_keep_raw_rows_on_paper_default(self):
+        """10-minute scans with the case studies on: change-driven and
+        every-tick runs log identical raw rows, and the quota
+        case-study accounts trip on the same ticks."""
+        scenario = (
+            scenarios.get("paper_default")
+            .to_builder()
+            .with_duration_days(15.0)
+            .build()
+        )
+
+        def observe(batch_triggers):
+            worlds = []
+
+            def on_built(experiment):
+                runtime = experiment.runtime
+                runtime.batch_triggers = batch_triggers
+                trips = []
+                notify = runtime._quota_notifier
+
+                def record_trip(address, now):
+                    trips.append((address, now))
+                    notify(address, now)
+
+                runtime._quota_notifier = record_trip
+                worlds.append((experiment, trips))
+
+            run = run_scenario(scenario, seed=2016, on_built=on_built)
+            experiment, trips = worlds[0]
+            scrape_log = experiment.monitor.scrape_log_store
+            return run, experiment.runtime, trips, [
+                scrape_log.row(index) for index in range(len(scrape_log))
+            ]
+
+        fast, fast_runtime, fast_trips, fast_scrapes = observe(True)
+        oracle, oracle_runtime, oracle_trips, oracle_scrapes = observe(False)
+        assert fast.dataset.access_store.to_json_dict() == (
+            oracle.dataset.access_store.to_json_dict()
+        )
+        assert fast.dataset.notification_store.to_json_dict() == (
+            oracle.dataset.notification_store.to_json_dict()
+        )
+        assert fast_scrapes == oracle_scrapes
+        assert fast_trips == oracle_trips
+        assert len({address for address, _ in fast_trips}) == 2
+        assert fast_runtime.quota_trips == oracle_runtime.quota_trips
+        assert fast_runtime.runs_executed * 10 < oracle_runtime.runs_executed
+
     def test_perf_summary_reports_loop_throughput(self):
         scenario = (
             scenarios.get("fast").to_builder().with_duration_days(5.0).build()
