@@ -12,8 +12,10 @@ a measurement, not analysing it.  Three workloads cover the hot paths:
   login-only probes), exercising the attacker visit loop.
 
 Per workload it records wall-clock seconds, events executed, simulation
-events/second, the per-phase breakdown from ``RunResult.perf``, and the
-process peak RSS.
+events/second, the per-phase breakdown from ``RunResult.perf``, the
+process peak RSS, and the activity scraper's CPU cost per visit (CPU
+seconds inside the scrape ticks ÷ scrape-log rows; every visit, failed
+logins included, logs exactly one row).
 
 The **regression gate** re-runs a mid-size scenario with Apps-Script
 trigger batching disabled (one heap event per script per tick — the
@@ -59,12 +61,37 @@ def _scenario(name: str, duration_days: float | None, **kwargs):
     return scenario
 
 
+def _time_scrapes(experiment, spent: list[float]) -> None:
+    """Sum the CPU seconds of every scrape tick into ``spent[0]``.
+
+    Wraps the monitor's tick on the instance before ``start`` hands it
+    to the periodic process, so nothing outside the tick is counted.
+    """
+    monitor = experiment.monitor
+    tick = monitor._scrape_all
+
+    def timed_tick() -> None:
+        started = time.process_time()
+        tick()
+        spent[0] += time.process_time() - started
+
+    monitor._scrape_all = timed_tick
+
+
 def bench_one(label: str, scenario, seed: int = 2016) -> dict:
     """One full measurement run, timed end to end."""
+    built = []
+    scrape_cpu = [0.0]
+
+    def on_built(experiment) -> None:
+        built.append(experiment)
+        _time_scrapes(experiment, scrape_cpu)
+
     started = time.perf_counter()
-    run = run_scenario(scenario, seed=seed)
+    run = run_scenario(scenario, seed=seed, on_built=on_built)
     elapsed = time.perf_counter() - started
     analysis = run.analysis
+    visits = len(built[0].monitor.scrape_log_store)
     return {
         "scenario": scenario.name,
         "label": label,
@@ -79,6 +106,9 @@ def bench_one(label: str, scenario, seed: int = 2016) -> dict:
         "notification_rows": len(run.dataset.notification_store),
         "unique_accesses": analysis.total_unique_accesses,
         "peak_rss_kb": peak_rss_kb(),
+        "scrape_visits": visits,
+        "scrape_cpu_seconds": scrape_cpu[0],
+        "scrape_cpu_us_per_visit": scrape_cpu[0] / max(visits, 1) * 1e6,
     }
 
 
@@ -210,7 +240,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{record['events_executed']} events "
             f"({record['events_per_second']:,.0f} events/s in the loop), "
             f"{record['access_rows']} access rows, "
-            f"peak RSS {record['peak_rss_kb'] / 1024:.0f} MB"
+            f"{record['scrape_cpu_us_per_visit']:.2f} us CPU per scrape "
+            f"visit, peak RSS {record['peak_rss_kb'] / 1024:.0f} MB"
         )
 
     gate = bench_batching_gate(gate_accounts, gate_days)

@@ -75,6 +75,12 @@ class ScrapeOutcome(enum.Enum):
     OK = "ok"
     LOCKED_OUT = "locked_out"  # password changed by a hijacker
     BLOCKED = "blocked"  # account suspended by the provider
+    ERROR = "error"  # any other provider refusal (e.g. unknown account)
+
+
+#: ``ScrapeOutcome.OK.value``, read once: an enum ``.value`` lookup is
+#: a Python-level descriptor call, and every visit logs one.
+_OK = ScrapeOutcome.OK.value
 
 
 @dataclass
@@ -91,6 +97,14 @@ class _WatchedAccount:
     visits: int = 0
     #: ``stable_hash64(address)``, computed once instead of per visit.
     address_hash: int = field(init=False)
+    #: The scraper's own activity-page row, minus its timestamp, keyed
+    #: by ``(cookie value, infrastructure IP)`` — the only inputs of
+    #: that row that vary.  Strings, not the frozen ``Cookie`` /
+    #: ``LoginContext``, so the probe hashes at C speed.  A forced reset
+    #: mints a new cookie and so a new key; nothing is invalidated.
+    own_rows: dict[tuple[str, str], tuple] = field(
+        init=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         self.address_hash = stable_hash64(self.address)
@@ -110,6 +124,31 @@ def _scrape_entry_factory(log, index: int) -> ScrapeLogEntry:
     address, timestamp, outcome, new_events = log.row(index)
     return ScrapeLogEntry(
         address, timestamp, ScrapeOutcome(outcome), new_events
+    )
+
+
+def _row_fields(event: AccessEvent) -> tuple:
+    """An activity-page row's ``AccessStore`` fields, minus the
+    timestamp.
+
+    Extraction leans on the shared caches: ``dotted`` renders each IP
+    once per address object, the fingerprint is a memoised frozen
+    record, and the location is the per-prefix shared instance.
+    """
+    location = event.location
+    fingerprint = event.fingerprint
+    return (
+        event.account_address,
+        event.cookie.value,
+        event.ip_address.dotted,
+        location.city if location else None,
+        location.country if location else None,
+        location.latitude if location else None,
+        location.longitude if location else None,
+        fingerprint.kind.value,
+        fingerprint.os_family,
+        fingerprint.browser,
+        fingerprint.user_agent,
     )
 
 
@@ -350,61 +389,59 @@ class MonitorInfrastructure:
         self.scrape_log_store.append_fields(address, now, outcome.value, count)
 
     def _scrape_one(self, watched: _WatchedAccount, now: float) -> None:
+        """One visit: a real login, the page read, a logout.
+
+        Every visit logs in through :meth:`WebmailService.login`, so the
+        provider sees, counts, locks out and blocks the scraper exactly
+        as before.  Almost always the page gained nothing but this
+        visit's own login; then the read is skipped and the own row is
+        appended from :attr:`_WatchedAccount.own_rows`, with the same
+        fields the page row would have given.
+        """
+        address = watched.address
         context = self._next_context(watched)
         try:
             session = self._service.login(
-                watched.address, watched.password, context, now
+                address, watched.password, context, now
             )
         except AuthenticationError:
             # Hijacker changed the password; we lose the activity page but
             # script notifications keep arriving.
             watched.locked_out = True
-            self.failure_log.append((watched.address, now))
-            self._log_scrape(
-                watched.address, now, ScrapeOutcome.LOCKED_OUT, 0
-            )
+            self.failure_log.append((address, now))
+            self._log_scrape(address, now, ScrapeOutcome.LOCKED_OUT, 0)
             return
         except AccountBlockedError:
             watched.blocked = True
-            self._log_scrape(watched.address, now, ScrapeOutcome.BLOCKED, 0)
+            self._log_scrape(address, now, ScrapeOutcome.BLOCKED, 0)
             return
         except WebmailError:
+            self._log_scrape(address, now, ScrapeOutcome.ERROR, 0)
             return
-        events, watched.cursor = self._service.activity.read_from(
-            watched.address, watched.cursor
-        )
-        if events:
-            ingest = self._ingest_event
+        page = self._service.activity
+        cursor = watched.cursor
+        key = (session.cookie.value, context.ip_address.dotted)
+        own_row = watched.own_rows.get(key)
+        if own_row is not None and page.event_count(address) == cursor + 1:
+            # Only this visit's login is new: its row is the cached one.
+            watched.cursor = cursor + 1
+            self.access_store.append_fields(*own_row, now)
+            new_events = 1
+        else:
+            events, watched.cursor = page.read_from(address, cursor)
             for event in events:
-                ingest(event)
+                self._ingest_event(event)
+            # The login just recorded is the page's last row.
+            watched.own_rows[key] = _row_fields(events[-1])
+            new_events = len(events)
         self._service.logout(session)
-        self._log_scrape(watched.address, now, ScrapeOutcome.OK, len(events))
+        self.scrape_log_store.append_fields(address, now, _OK, new_events)
 
     def _ingest_event(self, event: AccessEvent) -> int:
         """Offline parsing of one dumped activity-page row, straight
-        into the columnar store (no intermediate row object).
-
-        Field extraction leans on the shared caches: ``dotted`` renders
-        each IP once per address object, the fingerprint is a memoised
-        frozen record, and the location is the per-prefix shared
-        instance — so a scrape tick costs interning probes, not string
-        building.
-        """
-        location = event.location
-        fingerprint = event.fingerprint
+        into the columnar store (no intermediate row object)."""
         return self.access_store.append_fields(
-            event.account_address,
-            event.cookie.value,
-            event.ip_address.dotted,
-            location.city if location else None,
-            location.country if location else None,
-            location.latitude if location else None,
-            location.longitude if location else None,
-            fingerprint.kind.value,
-            fingerprint.os_family,
-            fingerprint.browser,
-            fingerprint.user_agent,
-            event.timestamp,
+            *_row_fields(event), event.timestamp
         )
 
     # ------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from itertools import accumulate
 
 from repro.errors import ConfigurationError
 from repro.corpus import wordbank
@@ -73,6 +74,45 @@ _COUNTERPARTIES: tuple[str, ...] = (
     "Mirant", "Reliant", "Aquila", "TransAlta",
 )
 
+#: The sentence a topic's body pool gains after the notes line.
+_TOPIC_SENTENCES: dict[str, str] = {
+    "finance": (
+        "The payment account results are listed below the statement "
+        "summary."
+    ),
+    "personal": (
+        "Hope the family is doing great; see everyone at the birthday "
+        "party."
+    ),
+}
+
+# Everything below is fixed per topic or per character, so it is built
+# once here instead of per email.  Each table holds exactly the
+# sequence the draws always ran over, so every draw is unchanged.
+_CHARACTERS: tuple[str, ...] = tuple(
+    f"{first} {last}"
+    for first, last in zip(FIRST_NAMES[:30], LAST_NAMES[:30])
+)
+#: A sender's recipients: every other character, in order.
+_RECIPIENTS: dict[str, tuple[str, ...]] = {
+    sender: tuple(c for c in _CHARACTERS if c != sender)
+    for sender in _CHARACTERS
+}
+_TOPIC_NAMES: tuple[str, ...] = wordbank.topic_names()
+#: Passed as ``cum_weights=``: ``choices`` would otherwise re-accumulate
+#: the weights on every draw, to the same floats.
+_TOPIC_CUM_WEIGHTS: list[float] = list(
+    accumulate(wordbank.topic_weights())
+)
+_TOPIC_VOCABULARY: dict[str, tuple[str, ...]] = {
+    topic: wordbank.topic_vocabulary(topic) for topic in _TOPIC_NAMES
+}
+#: The population the notes line samples its terms from.
+_NOTE_TERMS: dict[str, tuple[str, ...]] = {
+    topic: vocab + tuple(wordbank.GENERAL_FILLER)
+    for topic, vocab in _TOPIC_VOCABULARY.items()
+}
+
 
 @dataclass(frozen=True)
 class GeneratedEmail:
@@ -99,6 +139,15 @@ class CorpusStats:
     topic_counts: dict[str, int] = field(default_factory=dict)
 
 
+def _render(template: str, words: tuple[str, str, str]) -> str:
+    topic_word, core_word, counterparty = words
+    return template.format(
+        topic_word=topic_word,
+        core_word=core_word,
+        counterparty=counterparty,
+    )
+
+
 class CorpusGenerator:
     """Generates deterministic synthetic corporate email.
 
@@ -111,69 +160,75 @@ class CorpusGenerator:
     def __init__(self, rng: random.Random, company: str = "Enrova") -> None:
         self._rng = rng
         self.company = company
-        self._topic_names = wordbank.topic_names()
-        self._topic_weights = wordbank.topic_weights()
-        self._characters = [
-            f"{first} {last}"
-            for first, last in zip(FIRST_NAMES[:30], LAST_NAMES[:30])
-        ]
+
+    def _words(self, topic_vocab: tuple[str, ...]) -> tuple[str, str, str]:
+        """Draw one template's ``(topic_word, core_word, counterparty)``."""
+        choice = self._rng.choice
+        return (
+            choice(topic_vocab),
+            choice(wordbank.CORE_BUSINESS),
+            choice(_COUNTERPARTIES),
+        )
 
     def _fill(self, template: str, topic_vocab: tuple[str, ...]) -> str:
-        return template.format(
-            topic_word=self._rng.choice(topic_vocab),
-            core_word=self._rng.choice(wordbank.CORE_BUSINESS),
-            counterparty=self._rng.choice(_COUNTERPARTIES),
-        )
+        return _render(template, self._words(topic_vocab))
 
-    def _sentence_pool(
+    def _body_sentences(
         self, topic: str, topic_vocab: tuple[str, ...]
     ) -> list[str]:
-        sentences = [self._fill(t, topic_vocab) for t in _BODY_TEMPLATES]
-        # Topic flavour: sprinkle extra topic/filler terms as short notes.
-        extra_terms = self._rng.sample(
-            list(topic_vocab) + list(wordbank.GENERAL_FILLER), k=4
-        )
-        sentences.append(
-            "Notes: " + ", ".join(sorted(extra_terms)) + "."
-        )
-        if topic == "finance":
-            sentences.append(
-                "The payment account results are listed below the "
-                "statement summary."
-            )
-        if topic == "personal":
-            sentences.append(
-                "Hope the family is doing great; see everyone at the "
-                "birthday party."
-            )
+        """The body's middle sentences, sampled from the topic's pool.
+
+        The pool is the eight body templates, a notes line of four
+        sampled terms, and the topic's own sentence if it has one.
+        Words for all eight templates are drawn, in order, whether or
+        not ``sample`` keeps the sentence; only kept sentences are
+        formatted.  ``sample`` over pool indices draws exactly what
+        ``sample`` over the pool itself would.
+        """
+        rng = self._rng
+        words = [self._words(topic_vocab) for _ in _BODY_TEMPLATES]
+        # Topic flavour: extra topic/filler terms as a short notes line.
+        extra_terms = rng.sample(_NOTE_TERMS[topic], k=4)
+        topic_sentence = _TOPIC_SENTENCES.get(topic)
+        notes_index = len(_BODY_TEMPLATES)
+        pool_size = notes_index + 1 + (topic_sentence is not None)
+        n_sentences = rng.randrange(3, 7)
+        kept = rng.sample(range(pool_size), k=min(n_sentences, pool_size))
+        sentences = []
+        for index in kept:
+            if index < notes_index:
+                template = _BODY_TEMPLATES[index]
+                sentences.append(_render(template, words[index]))
+            elif index == notes_index:
+                notes = ", ".join(sorted(extra_terms))
+                sentences.append(f"Notes: {notes}.")
+            else:
+                sentences.append(topic_sentence)
         return sentences
 
     def generate_email(self) -> GeneratedEmail:
         """Generate a single email with a weighted-random topic."""
         topic = self._rng.choices(
-            self._topic_names, weights=self._topic_weights, k=1
+            _TOPIC_NAMES, cum_weights=_TOPIC_CUM_WEIGHTS, k=1
         )[0]
         return self.generate_email_for_topic(topic)
 
     def generate_email_for_topic(self, topic: str) -> GeneratedEmail:
         """Generate a single email with the given topic."""
-        if topic not in self._topic_names:
+        vocab = _TOPIC_VOCABULARY.get(topic)
+        if vocab is None:
             raise ConfigurationError(f"unknown topic {topic!r}")
-        vocab = wordbank.topic_vocabulary(topic)
-        sender = self._rng.choice(self._characters)
-        recipient = self._rng.choice(
-            [c for c in self._characters if c != sender]
-        )
-        subject = self._fill(self._rng.choice(_SUBJECT_TEMPLATES), vocab)
-        opening = self._fill(self._rng.choice(_OPENINGS), vocab)
-        pool = self._sentence_pool(topic, vocab)
-        n_sentences = self._rng.randrange(3, 7)
-        chosen = self._rng.sample(pool, k=min(n_sentences, len(pool)))
-        closing = self._fill(self._rng.choice(_CLOSINGS), vocab)
+        rng = self._rng
+        sender = rng.choice(_CHARACTERS)
+        recipient = rng.choice(_RECIPIENTS[sender])
+        subject = self._fill(rng.choice(_SUBJECT_TEMPLATES), vocab)
+        opening = self._fill(rng.choice(_OPENINGS), vocab)
+        chosen = self._body_sentences(topic, vocab)
+        closing = self._fill(rng.choice(_CLOSINGS), vocab)
         body_lines = [opening, *chosen, closing]
         body = "\n".join(body_lines)
         body += f"\n{sender}\n{self.company} Corporation"
-        offset_days = self._rng.uniform(0, _CORPUS_SPAN_DAYS)
+        offset_days = rng.uniform(0, _CORPUS_SPAN_DAYS)
         sent_at = _CORPUS_START + timedelta(days=offset_days)
         return GeneratedEmail(
             sender_name=sender,

@@ -24,9 +24,13 @@ from __future__ import annotations
 import mmap
 import os
 from array import array
+from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
 
 NULL_ID = 0
+
+_NO_IDS: Mapping[str, int] = MappingProxyType({})
 
 STRINGS_PAYLOAD = "strings.payload"
 STRINGS_OFFSETS = "strings.offsets"
@@ -40,10 +44,14 @@ class StringTable:
     the same seed produce byte-identical tables.
     """
 
-    __slots__ = ("_ids", "_strings")
+    __slots__ = ("ids", "_strings")
 
     def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
+        #: The live ``string -> id`` map, a plain slot so hot paths
+        #: probe it without a call.  A hit is the id :meth:`intern`
+        #: would return; on a miss (and for ``None``) call
+        #: :meth:`intern`.  Read it, never write it.
+        self.ids: dict[str, int] = {}
         self._strings: list[str | None] = [None]
 
     def __len__(self) -> int:
@@ -54,10 +62,10 @@ class StringTable:
         """Return the id for ``value``, allocating one if new."""
         if value is None:
             return NULL_ID
-        ident = self._ids.get(value)
+        ident = self.ids.get(value)
         if ident is None:
             ident = len(self._strings)
-            self._ids[value] = ident
+            self.ids[value] = ident
             self._strings.append(value)
         return ident
 
@@ -73,7 +81,7 @@ class StringTable:
         """
         if value is None:
             return NULL_ID
-        return self._ids.get(value)
+        return self.ids.get(value)
 
     # ------------------------------------------------------------------
     # serialization
@@ -88,7 +96,7 @@ class StringTable:
         for ident, value in enumerate(strings):
             if ident == NULL_ID:
                 continue
-            table._ids[value] = ident
+            table.ids[value] = ident
             table._strings.append(value)
         return table
 
@@ -96,12 +104,12 @@ class StringTable:
         return self.to_list()
 
     def __setstate__(self, state: list[str | None]) -> None:
-        self._ids = {}
+        self.ids = {}
         self._strings = [None]
         for ident, value in enumerate(state):
             if ident == NULL_ID:
                 continue
-            self._ids[value] = ident
+            self.ids[value] = ident
             self._strings.append(value)
 
 
@@ -139,10 +147,14 @@ class DiskStringTable:
 
     _CACHE_LIMIT = 65536
 
-    __slots__ = ("directory", "_ends", "_payload", "_cache", "_probes")
+    __slots__ = ("directory", "ids", "_ends", "_payload", "_cache", "_probes")
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
+        #: Always empty, so a hot-path probe (see ``StringTable.ids``)
+        #: misses and goes to :meth:`intern`, which resolves sealed
+        #: strings and refuses new ones.
+        self.ids: Mapping[str, int] = _NO_IDS
         ends = array("q")
         ends.frombytes((self.directory / STRINGS_OFFSETS).read_bytes())
         self._ends = ends

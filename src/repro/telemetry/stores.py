@@ -13,6 +13,9 @@ schema plus a hand-inlined ``append_fields`` fast path: the ingest hot
 loop writes straight into the column arrays (interning as it goes)
 instead of dispatching through the generic per-column loop, which is
 what buys the multi-x throughput over building frozen dataclasses.
+Interning probes :attr:`StringTable.ids` once per string and calls
+:meth:`StringTable.intern` only on a miss (a new string, or ``None``),
+so ids and their order are exactly what ``intern`` alone would give.
 
 The stores know nothing about ``repro.core`` row types; the monitor and
 :class:`~repro.core.records.ObservedDataset` supply row factories that
@@ -137,18 +140,20 @@ class AccessStore(EventLog):
         timestamp: float,
     ) -> int:
         """Ingest one row straight into the columns (hot path)."""
-        intern = self.strings.intern
+        strings = self.strings
+        known = strings.ids.get
+        intern = strings.intern
         index = len(self.timestamps)
         (
             a_account, a_cookie, a_ip, a_city, a_country,
             a_lat, a_lat_mask, a_lon, a_lon_mask,
             a_device, a_os, a_browser, a_ua, a_ts,
         ) = self._appends
-        a_account(intern(account_address))
-        a_cookie(intern(cookie_id))
-        a_ip(intern(ip_address))
-        a_city(intern(city))
-        a_country(intern(country))
+        a_account(known(account_address) or intern(account_address))
+        a_cookie(known(cookie_id) or intern(cookie_id))
+        a_ip(known(ip_address) or intern(ip_address))
+        a_city(known(city) or intern(city))
+        a_country(known(country) or intern(country))
         if latitude is None:
             a_lat(0.0)
             a_lat_mask(0)
@@ -161,10 +166,10 @@ class AccessStore(EventLog):
         else:
             a_lon(longitude)
             a_lon_mask(1)
-        a_device(intern(device_kind))
-        a_os(intern(os_family))
-        a_browser(intern(browser))
-        a_ua(intern(user_agent))
+        a_device(known(device_kind) or intern(device_kind))
+        a_os(known(os_family) or intern(os_family))
+        a_browser(known(browser) or intern(browser))
+        a_ua(known(user_agent) or intern(user_agent))
         a_ts(timestamp)
         if self._sinks:
             self._notify_sinks(index)
@@ -200,13 +205,15 @@ class NotificationStore(EventLog):
     ) -> int:
         """Ingest one notification (hot path; ``kind_value`` is the
         :class:`~repro.core.notifications.NotificationKind` value)."""
-        intern = self.strings.intern
+        strings = self.strings
+        known = strings.ids.get
+        intern = strings.intern
         index = len(self.timestamps)
-        self.kind_ids.append(intern(kind_value))
-        self.account_ids.append(intern(account_address))
+        self.kind_ids.append(known(kind_value) or intern(kind_value))
+        self.account_ids.append(known(account_address) or intern(account_address))
         self.timestamps.append(timestamp)
-        self.message_ids.append(intern(message_id))
-        self.subject_ids.append(intern(subject))
+        self.message_ids.append(known(message_id) or intern(message_id))
+        self.subject_ids.append(known(subject) or intern(subject))
         self.bodies.append(body_copy)
         if self._sinks:
             self._notify_sinks(index)
@@ -239,11 +246,13 @@ class ScrapeLogStore(EventLog):
         """Ingest one scrape diagnostic (hot path: one row per account
         per scrape tick; ``outcome_value`` is the ``ScrapeOutcome``
         value string)."""
-        intern = self.strings.intern
+        strings = self.strings
+        known = strings.ids.get
+        intern = strings.intern
         index = len(self.timestamps)
-        self.address_ids.append(intern(address))
+        self.address_ids.append(known(address) or intern(address))
         self.timestamps.append(timestamp)
-        self.outcome_ids.append(intern(outcome_value))
+        self.outcome_ids.append(known(outcome_value) or intern(outcome_value))
         self.event_counts.append(new_events)
         if self._sinks:
             self._notify_sinks(index)
@@ -293,13 +302,15 @@ class DefenseActionStore(EventLog):
         detail: str = "",
     ) -> int:
         """Ingest one defender action."""
-        intern = self.strings.intern
+        strings = self.strings
+        known = strings.ids.get
+        intern = strings.intern
         index = len(self.timestamps)
-        self.defense_ids.append(intern(defense))
-        self.action_ids.append(intern(action))
-        self.account_ids.append(intern(account_address))
+        self.defense_ids.append(known(defense) or intern(defense))
+        self.action_ids.append(known(action) or intern(action))
+        self.account_ids.append(known(account_address) or intern(account_address))
         self.timestamps.append(timestamp)
-        self.detail_ids.append(intern(detail))
+        self.detail_ids.append(known(detail) or intern(detail))
         if self._sinks:
             self._notify_sinks(index)
         if self._spill is not None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.netsim.fingerprint import DeviceFingerprint
 from repro.netsim.geo import GeoLocation
@@ -26,9 +27,15 @@ from repro.netsim.ipaddr import IPAddress
 from repro.webmail.sessions import Cookie
 
 
-@dataclass(frozen=True, slots=True)
-class AccessEvent:
-    """One row of the activity page: a login or returning visit."""
+class AccessEvent(NamedTuple):
+    """One row of the activity page: a login or returning visit.
+
+    A named tuple rather than a frozen dataclass: the provider builds
+    one per login, including every scraper visit, and a tuple's
+    constructor skips the per-field ``object.__setattr__`` a frozen
+    dataclass pays.  Fields, immutability and ``has_location`` are the
+    same.
+    """
 
     account_address: str
     cookie: Cookie

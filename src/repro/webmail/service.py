@@ -141,7 +141,9 @@ class WebmailService:
             AccountBlockedError: the account was suspended.
             AuthenticationError: wrong password.
         """
-        account = self.account(address)
+        account = self._accounts.get(address)
+        if account is None:
+            raise NoSuchAccountError(address)
         if account.is_blocked:
             raise AccountBlockedError(address, account.blocked_reason or "")
         if not account.verify_password(password):
@@ -157,15 +159,19 @@ class WebmailService:
     def _record_access(
         self, session: Session, context: LoginContext, now: float
     ) -> None:
-        event = AccessEvent(
-            account_address=session.account_address,
-            cookie=session.cookie,
-            ip_address=context.ip_address,
-            location=self._geo.locate(context.ip_address),
-            fingerprint=fingerprint_from_user_agent(context.user_agent),
-            timestamp=now,
+        # Positional: this runs once per login, every scraper visit
+        # included.
+        ip_address = context.ip_address
+        self.activity.record(
+            AccessEvent(
+                session.account_address,
+                session.cookie,
+                ip_address,
+                self._geo.locate(ip_address),
+                fingerprint_from_user_agent(context.user_agent),
+                now,
+            )
         )
-        self.activity.record(event)
 
     def touch(self, session: Session, now: float) -> None:
         """Mark continued activity on a session (extends its duration)."""

@@ -62,6 +62,8 @@ class SessionManager:
     _device_cookies: dict[tuple[str, str], Cookie] = field(
         default_factory=dict
     )
+    #: Live and enforcement-revoked sessions; :meth:`revoke` drops a
+    #: session that logged out.
     _sessions: dict[int, Session] = field(default_factory=dict)
     _counter: itertools.count = field(
         default_factory=lambda: itertools.count(1)
@@ -160,7 +162,9 @@ class SessionManager:
         self, device_id: str, account_address: str, at_time: float
     ) -> Session:
         """Open a session for a device on an account."""
-        cookie = self.cookie_for(device_id, account_address)
+        cookie = self._device_cookies.get((device_id, account_address))
+        if cookie is None:
+            cookie = self.cookie_for(device_id, account_address)
         session = Session(
             cookie=cookie,
             account_address=account_address,
@@ -185,8 +189,14 @@ class SessionManager:
         return session
 
     def revoke(self, session_id: int) -> None:
-        """Revoke one session (logout or enforcement)."""
-        session = self._sessions.get(session_id)
+        """Revoke one session (logout) and drop it from the table.
+
+        A holder of the :class:`Session` object sees it revoked; the
+        manager forgets it, so a scraper that logs in and out on every
+        visit leaves nothing behind for :meth:`revoke_account_sessions`
+        to scan.
+        """
+        session = self._sessions.pop(session_id, None)
         if session is not None:
             session.revoked = True
 
@@ -200,7 +210,8 @@ class SessionManager:
         return revoked
 
     def sessions_for(self, account_address: str) -> list[Session]:
-        """All sessions (live and revoked) ever opened on an account."""
+        """Sessions held on an account: live ones and ones revoked by
+        enforcement.  Sessions ended by logout are gone."""
         return [
             s
             for s in self._sessions.values()

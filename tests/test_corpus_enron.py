@@ -1,5 +1,6 @@
 """Tests for repro.corpus.enron and repro.corpus.wordbank."""
 
+import hashlib
 import random
 
 import pytest
@@ -94,3 +95,47 @@ class TestCorpusGenerator:
     def test_invalid_topic(self, rng):
         with pytest.raises(ConfigurationError):
             CorpusGenerator(rng).generate_email_for_topic("astrology")
+
+
+def _mailbox_digests(seed: int) -> tuple[str, str]:
+    """sha256 of a generated mailbox and of the stream state after it."""
+    rng = random.Random(seed)
+    emails = CorpusGenerator(rng).generate_mailbox(120)
+    texts = hashlib.sha256()
+    for email in emails:
+        texts.update(
+            repr(
+                (
+                    email.sender_name,
+                    email.recipient_name,
+                    email.topic,
+                    email.sent_at.isoformat(),
+                    email.text,
+                )
+            ).encode()
+        )
+    state = hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()
+    return texts.hexdigest(), state
+
+
+#: Recorded before the generator stopped formatting unused sentences;
+#: any change to the draws or the text moves these.
+_PINNED_MAILBOXES = {
+    1: (
+        "5fb1f8c614b0afb3a20483ee195e9071299f62e437e3b93b2cdd202f3b4b7167",
+        "6c00489692a24c420136ab7569df9b1aadf02b29fd8a4e5680880df7bbb1c8e7",
+    ),
+    7: (
+        "dfd3344d0b36dda28dc8b88886ee6fc439691eaa2d94fbd32ca86071b5dda210",
+        "50c13640763738e15a121f624cb1ab7314aa71024091ea96ee789499ae47c03a",
+    ),
+    2016: (
+        "e5fb545abb80b61a7e716d3545e742b488d8355df1fea9cfcc7721b276160127",
+        "a88c897a79767b218c245874ed01aba844f7e5120e80f4d74a8b049e3e36f6ad",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_MAILBOXES))
+def test_mailbox_texts_and_stream_state_are_pinned(seed):
+    assert _mailbox_digests(seed) == _PINNED_MAILBOXES[seed]

@@ -5,9 +5,13 @@ import random
 import pytest
 
 from repro.errors import SessionError
+from repro.netsim.cities import city_by_name
+from repro.webmail.abuse import AbusePolicy
+from repro.webmail.account import Credentials
 from repro.webmail.mailbox import Folder, Mailbox
 from repro.webmail.message import EmailMessage
 from repro.webmail.search import search_messages
+from repro.webmail.service import LoginContext, WebmailService
 from repro.webmail.sessions import SessionManager
 
 
@@ -58,6 +62,40 @@ class TestSessionManager:
         manager.open_session("dev-3", "b@x.example", 7.0)
         assert manager.revoke_account_sessions("a@x.example") == 2
         assert len(manager.sessions_for("a@x.example")) == 2
+
+
+class TestSessionLifetime:
+    def test_logout_drops_sessions_and_blocks_still_revoke(self, geo):
+        service = WebmailService(
+            geo,
+            random.Random(4),
+            abuse_policy=AbusePolicy(hijack_block_probability=1.0),
+        )
+        service.create_account(Credentials("a@x.example", "pw-one"), "A")
+
+        def context(device):
+            return LoginContext(
+                device_id=device,
+                ip_address=geo.allocate_in_city(city_by_name("Paris")),
+                user_agent="",
+            )
+
+        scraper = context("monitor-browser")
+        for visit in range(50):
+            session = service.login("a@x.example", "pw-one", scraper, visit)
+            service.logout(session)
+            assert session.revoked
+        assert service.sessions.sessions_for("a@x.example") == []
+
+        watcher = service.login("a@x.example", "pw-one", context("atk-1"), 60)
+        hijacker = service.login("a@x.example", "pw-one", context("atk-2"), 61)
+        service.change_password(hijacker, "pw-two", 62)
+        assert service.account("a@x.example").is_blocked
+        assert watcher.revoked and hijacker.revoked
+        assert service.sessions.sessions_for("a@x.example") == [
+            watcher,
+            hijacker,
+        ]
 
 
 def seeded_mailbox():
