@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import sys
 import time
 from pathlib import Path
+
+from _harness import in_child
 
 from repro.analysis.defense import defense_report
 from repro.analysis.fingerprint import fingerprint_digest
@@ -119,16 +120,9 @@ def _overhead_child(off_json: str, idle_json: str, seed: int):
     return off_run, off_best, idle_run, idle_best, peak_rss_kb()
 
 
-def _in_child(function, *args):
-    """Run ``function`` in a fresh forked child (honest ru_maxrss)."""
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=1, maxtasksperchild=1) as pool:
-        return pool.apply(function, args)
-
-
 def bench_seed(seed: int) -> dict:
     base = _workload()
-    off_run, off_seconds, idle_run, idle_seconds, arm_rss = _in_child(
+    off_run, off_seconds, idle_run, idle_seconds, arm_rss = in_child(
         _overhead_child,
         base.with_defenses().to_json(),
         base.with_defenses(*IDLE_STACK).to_json(),
@@ -139,7 +133,7 @@ def bench_seed(seed: int) -> dict:
     idle_fingerprint = fingerprint_digest(idle_run.analysis)
 
     defended = base.with_defenses(*DEFENSE_STACK).with_seed(seed)
-    defended_run, defended_seconds, defended_rss = _in_child(
+    defended_run, defended_seconds, defended_rss = in_child(
         _run_child, defended.to_json(), seed
     )
     report = defense_report(

@@ -9,9 +9,10 @@ to tax the happy path.
 The workload is the ``fast`` scenario run as a 4-way sharded pool,
 measured two ways in the same process tree:
 
-* ``supervised`` — the default path (``run_sharded(supervise=True)``);
-* ``baseline`` — the pre-supervision executor
-  (``run_sharded(supervise=False)``, a plain ``ProcessPoolExecutor``).
+* ``supervised`` — ``run_sharded``, the only executor the package has;
+* ``baseline`` — the same shard tasks mapped over a plain
+  ``ProcessPoolExecutor`` and merged with ``merge_shard_runs``: the
+  unsupervised pool, built here because the package no longer has one.
 
 Each is run ``REPEATS`` times and the **minimum** wall-clock compared
 (minima are the low-noise estimator for cold-pool workloads).  The
@@ -39,12 +40,18 @@ import os
 import sys
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from repro.analysis.fingerprint import fingerprint_digest
 from repro.api.registry import scenarios
 from repro.faults import FaultPlan, FaultRule
-from repro.shard import dataset_mismatches, run_sharded
+from repro.shard import (
+    _execute_shard,
+    dataset_mismatches,
+    merge_shard_runs,
+    run_sharded,
+)
 
 #: Supervised / unsupervised wall-clock ratio allowed on the
 #: fault-free path (full workload).
@@ -71,28 +78,35 @@ def _workload(days: float):
     )
 
 
-def _time_run(scenario, *, supervise: bool):
+def _time_supervised(scenario):
+    """``run_sharded`` end to end: (run, wall seconds)."""
     started = time.perf_counter()
-    run = run_sharded(
-        scenario, shards=SHARDS, jobs=SHARDS, supervise=supervise
-    )
+    run = run_sharded(scenario, shards=SHARDS, jobs=SHARDS)
     return run, time.perf_counter() - started
+
+
+def _time_baseline(scenario):
+    """The same shard tasks on a bare pool, then the same merge:
+    (dataset, wall seconds)."""
+    started = time.perf_counter()
+    sharded = scenario.with_shards(SHARDS)
+    serialized = sharded.to_json()
+    tasks = [(serialized, index, SHARDS, None) for index in range(SHARDS)]
+    with ProcessPoolExecutor(max_workers=SHARDS) as pool:
+        shard_runs = list(pool.map(_execute_shard, tasks))
+    dataset, _ = merge_shard_runs(sharded, shard_runs)
+    return dataset, time.perf_counter() - started
 
 
 def bench_overhead(scenario) -> dict:
     """Alternate supervised/baseline repeats; compare the minima."""
     supervised_walls, baseline_walls = [], []
-    supervised_run = baseline_run = None
     for _ in range(REPEATS):
-        run, wall = _time_run(scenario, supervise=False)
+        baseline_dataset, wall = _time_baseline(scenario)
         baseline_walls.append(round(wall, 6))
-        baseline_run = run
-        run, wall = _time_run(scenario, supervise=True)
+        supervised_run, wall = _time_supervised(scenario)
         supervised_walls.append(round(wall, 6))
-        supervised_run = run
-    mismatches = dataset_mismatches(
-        baseline_run.dataset, supervised_run.dataset
-    )
+    mismatches = dataset_mismatches(baseline_dataset, supervised_run.dataset)
     overhead = min(supervised_walls) / min(baseline_walls)
     return {
         "baseline_walls": baseline_walls,

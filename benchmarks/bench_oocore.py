@@ -40,11 +40,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import multiprocessing
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+from _harness import in_child
 
 from repro.analysis.dataset import analyze
 from repro.analysis.fingerprint import fingerprint_digest
@@ -189,23 +190,11 @@ def bench_ingest(accounts: int, spill_dir: str | None) -> dict:
     }
 
 
-def _isolated(func, *args):
-    """Run ``func`` in a fresh forked child (per-run ``ru_maxrss``).
-
-    ``ru_maxrss`` is a process-lifetime high-water mark; measuring both
-    modes in one process would report the second at the first one's
-    peak.  Same pattern as ``bench_run.py``.
-    """
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=1, maxtasksperchild=1) as pool:
-        return pool.apply(func, args)
-
-
 def bench_memory_gate(accounts: int, ratio_limit: float, cap_kb: int | None) -> dict:
     """Resident vs budgeted ingest of the same synthetic stream."""
-    resident = _isolated(bench_ingest, accounts, None)
+    resident = in_child(bench_ingest, accounts, None)
     with tempfile.TemporaryDirectory(prefix="bench-oocore-") as spill_dir:
-        spilled = _isolated(bench_ingest, accounts, spill_dir)
+        spilled = in_child(bench_ingest, accounts, spill_dir)
     ratio = resident["peak_rss_kb"] / max(spilled["peak_rss_kb"], 1)
     failures = []
     if spilled["digest"] != resident["digest"]:

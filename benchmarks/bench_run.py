@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import sys
 import time
 from pathlib import Path
+
+from _harness import in_child
 
 from repro.api.envelope import run_scenario
 from repro.api.registry import scenarios
@@ -112,20 +113,6 @@ def bench_one(label: str, scenario, seed: int = 2016) -> dict:
     }
 
 
-def bench_one_isolated(label: str, scenario, seed: int = 2016) -> dict:
-    """Run :func:`bench_one` in a fresh forked child.
-
-    ``ru_maxrss`` is a process-lifetime high-water mark, so measuring
-    workloads in one process would report every workload after the
-    biggest one at the biggest one's peak.  A child per workload keeps
-    ``peak_rss_kb`` per-run (tracemalloc would isolate it too, but its
-    tracing overhead would distort the timing numbers).
-    """
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=1, maxtasksperchild=1) as pool:
-        return pool.apply(bench_one, (label, scenario, seed))
-
-
 def _gate_run(scenario, disable_batching: bool):
     """One gate measurement (runs inside a fresh forked child)."""
     on_built = None
@@ -163,14 +150,11 @@ def bench_batching_gate(
         .build()
     )
 
-    ctx = multiprocessing.get_context("fork")
     batched = unbatched = None
     batched_simulate = unbatched_simulate = float("inf")
     for _ in range(rounds):
-        with ctx.Pool(processes=1, maxtasksperchild=1) as pool:
-            batched = pool.apply(_gate_run, (scenario, False))
-        with ctx.Pool(processes=1, maxtasksperchild=1) as pool:
-            unbatched = pool.apply(_gate_run, (scenario, True))
+        batched = in_child(_gate_run, scenario, False)
+        unbatched = in_child(_gate_run, scenario, True)
         batched_simulate = min(batched_simulate, batched.perf["simulate"])
         unbatched_simulate = min(
             unbatched_simulate, unbatched.perf["simulate"]
@@ -233,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
 
     runs = {}
     for label, scenario in workloads:
-        record = bench_one_isolated(label, scenario)
+        record = in_child(bench_one, label, scenario)
         runs[label] = record
         print(
             f"{label}: {record['run_seconds']:.2f}s end-to-end, "

@@ -37,11 +37,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 import time
 from pathlib import Path
+
+from _harness import in_child
 
 from repro.analysis.fingerprint import fingerprint_digest
 from repro.api.envelope import run_scenario
@@ -87,18 +88,6 @@ def _run_shard_child(task):
     return shard_run, peak_rss_kb()
 
 
-def _in_child(function, *args):
-    """Run ``function`` in a fresh forked child and return its result.
-
-    Fresh children keep ``ru_maxrss`` (a process-lifetime high-water
-    mark) an honest per-measurement number, exactly as
-    ``bench_run.py`` does for its workloads.
-    """
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=1, maxtasksperchild=1) as pool:
-        return pool.apply(function, args)
-
-
 def bench_shard_count(scenario, shards: int, serial_run) -> dict:
     """Measure one K-way partition: per-shard walls, merge, pool wall."""
     serialized = scenario.with_shards(shards).to_json()
@@ -106,7 +95,7 @@ def bench_shard_count(scenario, shards: int, serial_run) -> dict:
     shard_seconds = []
     shard_rss = []
     for index in range(shards):
-        shard_run, rss_kb = _in_child(
+        shard_run, rss_kb = in_child(
             _run_shard_child, (serialized, index, shards)
         )
         shard_runs.append(shard_run)
@@ -163,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     scenario = _workload()
-    serial_run, serial_seconds, serial_rss = _in_child(
+    serial_run, serial_seconds, serial_rss = in_child(
         _run_serial_child, scenario.to_json()
     )
     serial_fingerprint = fingerprint_digest(serial_run.analysis)

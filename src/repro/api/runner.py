@@ -1,11 +1,11 @@
 """Multi-seed, multi-scenario batch execution.
 
 :class:`BatchRunner` executes the cross product of scenarios and seeds,
-either serially or on a ``concurrent.futures`` process pool.  Both paths
-funnel through the same module-level task function operating on the
-*serialized* scenario, so a pooled sweep is bit-identical to a serial
-one: every worker rebuilds its world from JSON exactly like the parent
-would, and determinism rests solely on the master seed.
+serially or one forked child per cell, through the sweep dispatch
+backends (:mod:`repro.sweeps.backends`).  Both paths run the same cell
+function on the *serialized* scenario, so a pooled batch is
+bit-identical to a serial one: determinism rests solely on the master
+seed.
 
 Cross-seed aggregation produces mean/stdev/min/max summaries of the
 overview statistics plus *pooled* Cramér-von Mises p-values — the
@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import statistics
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.api.envelope import RunResult, cvm_panel_p_values, run_scenario
+from repro.api.envelope import RunResult, cvm_panel_p_values
 from repro.api.scenario import Scenario
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SweepError
 
 #: Overview fields aggregated across seeds.
 AGGREGATED_METRICS: tuple[str, ...] = (
@@ -38,17 +37,6 @@ AGGREGATED_METRICS: tuple[str, ...] = (
     "country_count",
     "blacklist_hits",
 )
-
-
-def _execute_task(task: tuple[str, int]) -> RunResult:
-    """Run one (serialized scenario, seed) task.
-
-    Module-level so process pools can pickle it; the serial path calls
-    it too, guaranteeing identical execution either way.
-    """
-    scenario_json, seed = task
-    scenario = Scenario.from_json(scenario_json)
-    return run_scenario(scenario, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -190,9 +178,9 @@ def aggregate_runs(runs: Sequence[RunResult]) -> AggregateStats:
 class BatchResult:
     """Every run of a batch plus lazily-computed per-scenario aggregates.
 
-    ``failures`` lists the tasks that raised instead of completing
+    ``failures`` lists the tasks that failed instead of completing
     (empty for a clean batch — and always empty under ``strict=True``,
-    which re-raises instead of capturing).
+    which raises instead of returning).
     """
 
     runs: list[RunResult]
@@ -251,13 +239,13 @@ class BatchResult:
 
 
 class BatchRunner:
-    """Executes N seeds x M scenarios, serially or on a process pool.
+    """Executes N seeds x M scenarios, serially or on forked workers.
 
     Args:
-        jobs: default worker-process count; 1 (or ``None``) runs every
-            task in the calling process.  Either way results are
-            identical — workers rebuild runs from the serialized
-            scenario, so only the master seed matters.
+        jobs: default worker-process count; 1 runs every task in the
+            calling process, more runs each in its own supervised child,
+            so a crashed worker costs its one cell.  Either way results
+            are identical — only the master seed matters.
     """
 
     def __init__(self, jobs: int = 1) -> None:
@@ -286,13 +274,19 @@ class BatchRunner:
     ) -> BatchResult:
         """Run the full scenario x seed cross product, in stable order.
 
-        A raising task no longer aborts the batch: its exception is
-        captured into a :class:`FailedRun` on ``BatchResult.failures``
-        while every other task completes, so one bad cell cannot
-        discard a sweep's worth of finished runs.  ``strict=True``
-        restores the old propagate-immediately behaviour (the first
-        failure re-raises after in-flight tasks drain).
+        A failing task does not abort the batch: it becomes a
+        :class:`FailedRun` on ``BatchResult.failures`` while every other
+        task completes.  ``strict=True`` raises
+        :class:`~repro.errors.SweepError` naming the first failure once
+        every task has finished, as ``SweepManager.run`` does.
         """
+        # Lazy: repro.sweeps.manager imports this module.
+        from repro.sweeps.backends import (
+            CellTask,
+            InProcessBackend,
+            LocalPoolBackend,
+        )
+
         seed_list = list(seeds)
         if not scenario_list:
             raise ConfigurationError("need at least one scenario")
@@ -304,40 +298,38 @@ class BatchRunner:
                 "scenario names in a batch must be unique "
                 "(use with_name() to disambiguate)"
             )
-        tasks = [
-            (scenario.name, scenario.to_json(), seed)
+        cells = [
+            (scenario, seed)
             for scenario in scenario_list
             for seed in seed_list
+        ]
+        tasks = [
+            CellTask(index=index, scenario_json=scenario.to_json(), seed=seed)
+            for index, (scenario, seed) in enumerate(cells)
         ]
         workers = self.jobs if jobs is None else jobs
         if workers < 1:
             raise ConfigurationError("jobs must be >= 1")
+        backend = (
+            InProcessBackend()
+            if workers == 1 or len(tasks) == 1
+            else LocalPoolBackend(workers)
+        )
         results: list[RunResult] = []
         failures: list[FailedRun] = []
-
-        def _finish(name: str, seed: int, compute) -> None:
-            try:
-                results.append(compute())
-            except Exception as exc:  # noqa: BLE001 - isolation by design
-                if strict:
-                    raise
-                failures.append(FailedRun.from_exception(name, seed, exc))
-
-        if workers == 1 or len(tasks) == 1:
-            for name, scenario_json, seed in tasks:
-                _finish(
-                    name,
-                    seed,
-                    lambda t=(scenario_json, seed): _execute_task(t),
-                )
-        else:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(tasks))
-            ) as pool:
-                futures = [
-                    (name, seed, pool.submit(_execute_task, (js, seed)))
-                    for name, js, seed in tasks
-                ]
-                for name, seed, future in futures:
-                    _finish(name, seed, future.result)
+        for outcome in sorted(backend.run_cells(tasks), key=lambda o: o.index):
+            if outcome.ok:
+                results.append(outcome.run)
+                continue
+            scenario, seed = cells[outcome.index]
+            failures.append(FailedRun(
+                scenario.name, seed, outcome.error, outcome.traceback or ""
+            ))
+        if strict and failures:
+            first = failures[0]
+            raise SweepError(
+                f"{len(failures)} of {len(tasks)} batch task(s) failed; "
+                f"first: {first.scenario_name} seed={first.seed}: "
+                f"{first.error}"
+            )
         return BatchResult(runs=results, failures=failures)

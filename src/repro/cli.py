@@ -123,11 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "dataset.json) into DIR after the run",
     )
     run_parser.add_argument(
-        "--spill-telemetry", default=None, metavar="DIR",
-        help="stream accesses/notifications to JSONL in DIR *during* the "
-        "run (for measurements too large to keep resident)",
-    )
-    run_parser.add_argument(
         "--telemetry-budget", type=float, default=None, metavar="MB",
         dest="telemetry_budget",
         help="cap resident telemetry at MB megabytes: stores that "
@@ -574,21 +569,12 @@ def _command_run(args) -> int:
         return _run_checkpointed(args)
     scenario = _resolve_scenario(args)
     if args.shards is not None:
-        if args.shards > 1 and (args.spill_telemetry or args.profile):
+        if args.shards > 1 and args.profile:
             raise ConfigurationError(
-                "--shards cannot be combined with --spill-telemetry or "
-                "--profile (both instrument one in-process world)"
+                "--shards cannot be combined with --profile (it "
+                "instruments one in-process world)"
             )
         scenario = scenario.with_shards(args.shards)
-    spilled: list = []
-    monitors: list = []
-
-    def _attach_spill(experiment) -> None:
-        monitors.append(experiment.monitor)
-        spilled.extend(
-            experiment.monitor.spill_telemetry(args.spill_telemetry)
-        )
-
     budget = None
     if (
         getattr(args, "telemetry_budget", None) is not None
@@ -605,16 +591,13 @@ def _command_run(args) -> int:
             )
     run = run_scenario(
         scenario,
-        on_built=_attach_spill if args.spill_telemetry else None,
         profile_path=args.profile,
         jobs=args.jobs,
         telemetry_budget=budget,
         shard_timeout=args.shard_timeout,
         shard_retries=args.shard_retries,
     )
-    for monitor in monitors:
-        monitor.close_spill()
-    return _report_run(run, args, spilled=spilled)
+    return _report_run(run, args)
 
 
 def _run_checkpointed(args) -> int:
@@ -627,7 +610,6 @@ def _run_checkpointed(args) -> int:
         for flag, value in (
             ("--shards", args.shards),
             ("--jobs", args.jobs),
-            ("--spill-telemetry", args.spill_telemetry),
             ("--telemetry-budget", args.telemetry_budget),
             ("--spill-dir", args.spill_dir),
             ("--profile", args.profile),
@@ -666,7 +648,6 @@ def _run_resumed(args) -> int:
             ("--checkpoint-every", args.checkpoint_every),
             ("--shards", args.shards),
             ("--jobs", args.jobs),
-            ("--spill-telemetry", args.spill_telemetry),
             ("--telemetry-budget", args.telemetry_budget),
             ("--spill-dir", args.spill_dir),
             ("--profile", args.profile),
@@ -685,7 +666,7 @@ def _run_resumed(args) -> int:
     return _report_run(run, args)
 
 
-def _report_run(run, args, *, spilled: list | None = None) -> int:
+def _report_run(run, args) -> int:
     stats = run.overview()
     print(f"measurement complete in {run.elapsed_seconds:.1f}s "
           f"(scenario={run.scenario.name}, seed={run.seed}, "
@@ -726,9 +707,6 @@ def _report_run(run, args, *, spilled: list | None = None) -> int:
             run.analysis, args.out, blacklisted_ips=run.blacklisted_ips
         )
         print(f"exported {len(written)} files to {args.out}")
-    if spilled:
-        for path in spilled:
-            print(f"spilled telemetry stream: {path}")
     if args.telemetry_out:
         written = run.export_telemetry(args.telemetry_out)
         print(f"exported telemetry ({len(written)} files) "
@@ -898,10 +876,15 @@ def _command_sweep(args) -> int:
         for name in names
     ]
     if args.store is None:
-        if args.resume or args.max_cells is not None or args.backend:
+        if (
+            args.resume
+            or args.max_cells is not None
+            or args.backend
+            or args.cell_timeout is not None
+        ):
             raise ConfigurationError(
-                "--resume/--max-cells/--backend need a persistent "
-                "store; add --store DIR"
+                "--resume/--max-cells/--backend/--cell-timeout need a "
+                "persistent store; add --store DIR"
             )
         started = time.time()
         batch = BatchRunner(jobs=args.jobs).run_matrix(

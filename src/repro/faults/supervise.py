@@ -1,12 +1,15 @@
 """Supervised execution of forked workers: timeouts, heartbeats,
 kill-and-requeue.
 
-:func:`supervise_iter` is the one supervision loop shared by sharded
-runs and the pooled sweep backend.  Each task runs in its own forked
-child (so a SIGKILL takes out exactly one task, never a shared pool);
-the child ships its result back through a pickle file written
-atomically, and touches a heartbeat file from a daemon thread while it
-works.  The parent polls children against two clocks:
+:func:`supervise_iter` is the one way this package forks a worker:
+pooled shards, :class:`~repro.api.runner.BatchRunner` cells and the
+pooled sweep backend all go through it, and the benchmarks fork their
+isolated measurements with it too (``benchmarks/_harness.py``).  Each
+task runs in its own forked child (so a SIGKILL takes out exactly one
+task, never a shared pool); the child ships its result back through a
+pickle file written atomically, and touches a heartbeat file from a
+daemon thread while it works.  The parent polls children against two
+clocks:
 
 * a **wall-clock deadline** per attempt (``timeout``) — catches tasks
   that run but never finish;
@@ -22,7 +25,8 @@ asserts.
 
 The fault-free overhead is one ``fork`` per task plus a poll loop —
 benchmarked in ``benchmarks/bench_faults.py`` and gated at ≤5 % over
-the unsupervised pool on the sharded critical path.
+a bare process pool running the same shards (a baseline the benchmark
+builds for itself).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
+from repro.atomic import atomic_write
 from repro.faults.plan import hang_active
 
 
@@ -121,10 +126,9 @@ def _child_main(
             payload = ("ok", worker(task))
         except BaseException as exc:  # noqa: BLE001 - shipped to parent
             payload = ("error", f"{type(exc).__name__}: {exc}")
-        tmp = result_path.with_suffix(".tmp")
-        with open(tmp, "wb") as handle:
-            pickle.dump(payload, handle)
-        os.replace(tmp, result_path)
+        # A handoff between live processes: a crash of this child is
+        # the only failure to survive, so no fsync.
+        atomic_write(result_path, pickle.dumps(payload), durable=False)
     finally:
         stop.set()
 
@@ -205,8 +209,27 @@ def supervise_iter(
             )
             notify("start", index, attempt, "")
 
-        def _resolve(att: _Attempt) -> SupervisedOutcome | None:
-            """Outcome/requeue for a finished or condemned attempt."""
+        def _overdue(att: _Attempt, now: float) -> str | None:
+            """Why a live attempt must be killed, or ``None``."""
+            if att.deadline is not None and now > att.deadline:
+                return f"timed out after {timeout:.6g}s"
+            if stale_after is not None:
+                try:
+                    age = time.time() - att.heartbeat_path.stat().st_mtime
+                except OSError:
+                    # Not yet touched: measure from launch so a slow
+                    # fork gets the same grace.
+                    age = now - att.started
+                if age > stale_after:
+                    return f"heartbeat stale ({age:.2f}s > {stale_after:.6g}s)"
+            return None
+
+        def _resolve(
+            att: _Attempt, reason: str | None
+        ) -> SupervisedOutcome | None:
+            """Outcome/requeue for an attempt that exited, or was killed
+            for ``reason`` (a kill can race a completed result write, so
+            a result that landed is honoured either way)."""
             failure: str | None = None
             result = None
             if att.result_path.exists():
@@ -220,6 +243,8 @@ def supervise_iter(
                         result = payload
                     else:
                         failure = payload
+            elif reason is not None:
+                failure = reason
             else:
                 code = att.process.exitcode
                 failure = (
@@ -248,26 +273,6 @@ def supervise_iter(
                 elapsed_seconds=elapsed,
             )
 
-        def _condemn(att: _Attempt, reason: str) -> SupervisedOutcome | None:
-            att.process.kill()
-            att.process.join()
-            # A kill can race a completed result write; honour the
-            # result if it landed, otherwise record the reason.
-            if not att.result_path.exists():
-                elapsed = time.monotonic() - first_start[att.index]
-                if att.attempt <= retries:
-                    notify("retry", att.index, att.attempt, reason)
-                    pending.append((att.index, att.attempt + 1))
-                    return None
-                notify("fail", att.index, att.attempt, reason)
-                return SupervisedOutcome(
-                    index=att.index,
-                    error=reason,
-                    attempts=att.attempt,
-                    elapsed_seconds=elapsed,
-                )
-            return _resolve(att)
-
         try:
             while pending or running:
                 while pending and len(running) < jobs:
@@ -277,40 +282,17 @@ def supervise_iter(
                 now = time.monotonic()
                 still_running: list[_Attempt] = []
                 for att in running:
-                    if not att.process.is_alive():
-                        att.process.join()
-                        outcome = _resolve(att)
-                        if outcome is not None:
-                            yield outcome
-                        continue
-                    if att.deadline is not None and now > att.deadline:
-                        outcome = _condemn(
-                            att,
-                            f"timed out after {timeout:.6g}s",
-                        )
-                        if outcome is not None:
-                            yield outcome
-                        continue
-                    if stale_after is not None:
-                        try:
-                            age = (
-                                time.time()
-                                - att.heartbeat_path.stat().st_mtime
-                            )
-                        except OSError:
-                            # Not yet touched: measure from launch so a
-                            # slow fork gets the same grace.
-                            age = now - att.started
-                        if age > stale_after:
-                            outcome = _condemn(
-                                att,
-                                "heartbeat stale "
-                                f"({age:.2f}s > {stale_after:.6g}s)",
-                            )
-                            if outcome is not None:
-                                yield outcome
+                    reason = None
+                    if att.process.is_alive():
+                        reason = _overdue(att, now)
+                        if reason is None:
+                            still_running.append(att)
                             continue
-                    still_running.append(att)
+                        att.process.kill()
+                    att.process.join()
+                    outcome = _resolve(att, reason)
+                    if outcome is not None:
+                        yield outcome
                 running[:] = still_running
         finally:
             for att in running:

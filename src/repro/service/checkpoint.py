@@ -1,7 +1,9 @@
 """Checkpoint/resume: simulation snapshots and service snapshots.
 
-Two checkpoint kinds, one discipline (write to a temp file, fsync,
-atomic rename — a reader never sees a torn checkpoint):
+Two checkpoint kinds, one discipline (:func:`repro.atomic.atomic_write`
+with ``durable=True``: temp file, fsync, rename, directory fsync — a
+reader never sees a torn checkpoint, and a written one survives power
+loss):
 
 * **Simulation checkpoints** pickle a mid-horizon
   :class:`~repro.core.experiment.Experiment`: the event heap holds only
@@ -21,11 +23,11 @@ atomic rename — a reader never sees a torn checkpoint):
 from __future__ import annotations
 
 import json
-import os
 import pickle
 from pathlib import Path
 
 from repro.api.scenario import Scenario
+from repro.atomic import atomic_write
 from repro.core.experiment import Experiment
 from repro.errors import ServiceError
 from repro.faults.plan import fault_site
@@ -40,12 +42,7 @@ SERVICE_CHECKPOINT_VERSION = 1
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
     fault_site("checkpoint.write", path=str(path), data=payload)
     path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_name(path.name + ".tmp")
-    with temp.open("wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    temp.replace(path)
+    atomic_write(path, payload, durable=True)
 
 
 # ----------------------------------------------------------------------
@@ -60,18 +57,7 @@ def save_experiment_checkpoint(
     scenario: Scenario | None = None,
     completed_day: float | None = None,
 ) -> Path:
-    """Pickle a mid-horizon experiment (plus its scenario) to ``path``.
-
-    Raises :class:`~repro.errors.ServiceError` when the experiment has
-    live spill sinks attached — open file handles cannot travel, so
-    out-of-core runs must checkpoint at the service layer instead.
-    """
-    monitor = experiment.monitor
-    if monitor is not None and monitor._spill_sinks:
-        raise ServiceError(
-            "cannot checkpoint an experiment with live telemetry spill "
-            "sinks; close them first or checkpoint at the service layer"
-        )
+    """Pickle a mid-horizon experiment (plus its scenario) to ``path``."""
     payload = pickle.dumps(
         {
             "kind": "experiment_checkpoint",

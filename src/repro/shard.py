@@ -16,8 +16,8 @@ that:
    watches the scraper, schedules attacker visits and runs case
    studies only for the accounts it owns.  Shards execute as
    independent :class:`~repro.core.experiment.Experiment` runs in
-   forked workers, reusing the process-pool approach of
-   :class:`~repro.api.runner.BatchRunner`.
+   forked workers under :func:`~repro.faults.supervise.supervise_iter`,
+   the executor :class:`~repro.api.runner.BatchRunner` cells use too.
 3. **Merge** — the per-shard columnar stores are merged back into one
    :class:`~repro.core.records.ObservedDataset`: strings re-interned
    into a fresh shared table and rows re-sorted into the exact global
@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,9 +90,9 @@ class ShardRun:
 def _execute_shard(task: tuple) -> ShardRun:
     """Run one shard of a serialized scenario.
 
-    Module-level so process pools can pickle it; the in-process path
-    calls it too, guaranteeing identical execution either way (the
-    same property :class:`~repro.api.runner.BatchRunner` relies on).
+    Supervised children and the in-process path both call it,
+    guaranteeing identical execution either way (the same property
+    :class:`~repro.api.runner.BatchRunner` relies on).
 
     ``task`` is ``(scenario_json, index, count)`` plus an optional
     trailing :meth:`TelemetryBudget.to_dict` payload with the shard's
@@ -489,7 +488,6 @@ def run_sharded(
     jobs: int | None = None,
     seed: int | None = None,
     telemetry_budget=None,
-    supervise: bool = True,
     shard_timeout: float | None = None,
     shard_retries: int = 1,
     heartbeat_interval: float = 0.2,
@@ -502,8 +500,11 @@ def run_sharded(
             field.  ``1`` falls through to the ordinary serial
             :func:`~repro.api.envelope.run_scenario`.
         jobs: worker processes; defaults to ``min(shards, cpu_count)``.
-            ``1`` runs the shards sequentially in this process — same
-            result, no pool (useful for tests and debugging).
+            Workers run under :func:`repro.faults.supervise.supervise_iter`,
+            which kills and re-executes (bit-identically) a crashed, hung
+            or timed-out shard.  ``1`` runs the shards in this process —
+            same result, no fork — unless ``shard_timeout`` or
+            ``stale_after`` asks for a limit, which only a child can obey.
         seed: master-seed override, as in ``Scenario.run``.
         telemetry_budget: out-of-core telemetry policy applied to every
             worker *and* the merge.  One spill directory is resolved
@@ -511,13 +512,6 @@ def run_sharded(
             ``merged/`` for the coordinator; workers ship chunk
             manifests back instead of pickled row data, and the merge
             streams shard chunks into merged chunks.
-        supervise: run pooled workers under
-            :func:`repro.faults.supervise.supervise_iter` — a crashed,
-            hung, or timed-out shard is killed and re-executed instead
-            of aborting the whole run (shard execution is
-            deterministic in (scenario, seed), so reruns are
-            bit-identical).  ``False`` keeps the bare process pool
-            (the benchmark baseline).
         shard_timeout: wall-clock limit per shard attempt, seconds.
         shard_retries: re-executions allowed per shard before the run
             fails with :class:`~repro.errors.SupervisionError`.
@@ -570,14 +564,14 @@ def run_sharded(
     ]
     if jobs is None:
         jobs = min(shards, os.cpu_count() or 1)
-    if jobs <= 1:
+    if jobs <= 1 and shard_timeout is None and stale_after is None:
         shard_runs = [_execute_shard(task) for task in tasks]
-    elif supervise:
+    else:
         outcomes = list(
             supervise_iter(
                 _execute_shard,
                 tasks,
-                jobs=min(jobs, shards),
+                jobs=max(1, min(jobs, shards)),
                 timeout=shard_timeout,
                 retries=shard_retries,
                 heartbeat_interval=heartbeat_interval,
@@ -601,9 +595,6 @@ def run_sharded(
         shard_runs = [
             o.result for o in sorted(outcomes, key=lambda o: o.index)
         ]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, shards)) as pool:
-            shard_runs = list(pool.map(_execute_shard, tasks))
     for run in shard_runs:
         if run.spill_manifest is not None:
             run.dataset.attach_spilled_stores(run.spill_manifest)

@@ -13,12 +13,14 @@ Three implementations ship:
   process.  Zero marshalling overhead; the right default for one-off
   sweeps and the baseline the store-overhead benchmark gates against.
 * :class:`LocalPoolBackend` — forked workers under
-  :func:`repro.faults.supervise.supervise_iter`: the pooled semantics
-  :class:`~repro.api.runner.BatchRunner` established (workers rebuild
-  runs from the serialized scenario, so pooled results are
-  bit-identical to in-process ones) but with one forked child per
-  cell, so a SIGKILLed or hung worker costs exactly that cell — not a
-  ``BrokenProcessPool`` that aborts every in-flight sibling.
+  :func:`repro.faults.supervise.supervise_iter` (workers rebuild runs
+  from the serialized scenario, so pooled results are bit-identical to
+  in-process ones), one forked child per cell, so a SIGKILLed or hung
+  worker costs exactly that cell — not a ``BrokenProcessPool`` that
+  aborts every in-flight sibling.
+
+:class:`~repro.api.runner.BatchRunner` dispatches through the first
+two, so batches and sweeps share one cell runner.
 * :class:`SubprocessBackend` — shells out to ``python -m repro run
   --scenario-file ... --result-out ...`` per cell.  Each cell is a
   fully independent OS process with no shared interpreter state — the
@@ -100,9 +102,9 @@ class DispatchBackend(Protocol):
 def _execute_cell(task: CellTask) -> CellOutcome:
     """Run one cell in this process, containing any failure.
 
-    Module-level so process pools can pickle it; the in-process backend
-    calls it too, guaranteeing identical execution either way (the same
-    serialize-rebuild-run discipline as ``BatchRunner``).
+    Every in-process and forked cell — sweep or ``BatchRunner`` — runs
+    through here, guaranteeing identical execution either way: the
+    scenario is rebuilt from its JSON, so only the seed matters.
     """
     from repro.api.envelope import run_scenario
     from repro.api.scenario import Scenario
@@ -140,8 +142,7 @@ class InProcessBackend:
 
 
 class LocalPoolBackend:
-    """Supervised forked-worker dispatch — ``BatchRunner`` semantics,
-    crash-isolated.
+    """Supervised forked-worker dispatch, crash-isolated.
 
     Each cell runs in its own forked child under
     :func:`~repro.faults.supervise.supervise_iter`.  A child that

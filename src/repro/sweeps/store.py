@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
+from repro.atomic import atomic_write
 from repro.errors import ConfigurationError
 from repro.faults.plan import fault_site
 from repro.sweeps.jobspec import JobSpec, compute_address, default_code_version
@@ -197,30 +198,15 @@ class ResultsStore:
         payload, sidecar = self.encode(spec, run)
         directory = self._payload_path(spec.address).parent
         directory.mkdir(parents=True, exist_ok=True)
-        self._atomic_write(
-            self._payload_path(spec.address), payload
+        atomic_write(
+            self._payload_path(spec.address), payload, durable=self.durable
         )
-        self._atomic_write(
+        atomic_write(
             self._sidecar_path(spec.address),
             json.dumps(sidecar, indent=2, sort_keys=True).encode(),
+            durable=self.durable,
         )
         return StoreEntry.from_sidecar(sidecar)
-
-    def _atomic_write(self, path: Path, data: bytes) -> None:
-        tmp = path.with_suffix(path.suffix + f".tmp.{os.getpid()}")
-        with tmp.open("wb") as handle:
-            handle.write(data)
-            if self.durable:
-                handle.flush()
-                os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        if self.durable:
-            # The rename itself must survive power loss too.
-            fd = os.open(path.parent, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
 
     # ------------------------------------------------------------------
     # maintenance

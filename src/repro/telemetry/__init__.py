@@ -10,9 +10,9 @@ gives that stream a compact, typed representation:
 * :class:`EventLog` — an append-only struct-of-arrays store built on
   stdlib :mod:`array` columns, with cursor-based incremental readers
   (:class:`EventCursor`) and pluggable sinks notified on every append;
-* sinks — :class:`JsonlSink` spills rows to disk as JSON lines for runs
-  too big for RAM; :class:`CountByKey`, :class:`StreamingECDF` and
-  :class:`OnlineStats` aggregate online without retaining rows;
+* sinks — :class:`JsonlSink` streams rows to a JSON-lines file (the
+  service WAL's format); :class:`CountByKey`, :class:`StreamingECDF`
+  and :class:`OnlineStats` aggregate online without retaining rows;
 * typed stores — :class:`AccessStore`, :class:`NotificationStore`,
   :class:`ScrapeLogStore` and :class:`ScrapeFailureLog` fix the schemas
   the monitor produces and the analysis consumes;
@@ -20,7 +20,7 @@ gives that stream a compact, typed representation:
   typed row objects lazily, keeping the historical ``list``-of-dataclass
   API intact on top of the columnar store.
 
-Stores can also leave RAM entirely: :meth:`EventLog.configure_spill`
+Stores leave RAM one way: :meth:`EventLog.configure_spill`
 swaps a log's columns for chunked, disk-spillable twins
 (:mod:`repro.telemetry.spill`), :class:`TelemetryBudget` decides
 resident-vs-spilled per store for a run's shape, and

@@ -1,12 +1,15 @@
-"""Disk sinks: JSONL spill for event logs too big for RAM.
+"""JSON-lines files: the service WAL and the raw-telemetry export.
 
 :class:`JsonlSink` streams every appended row to a ``.jsonl`` file as it
-happens, one JSON object per line, keyed by the log's field names.
-Attached with ``replay=True`` it first drains the rows already in the
-log, so it can be bolted onto a running monitor mid-measurement.
+happens, one JSON object per line, keyed by the log's field names; the
+service's write-ahead log is built on it.  Attached with
+``replay=True`` it first drains the rows already in the log.
 
 :func:`write_jsonl` / :func:`read_jsonl` are the one-shot counterparts
-for finished logs.
+for finished logs (``RunResult.export_telemetry`` writes through the
+former).  Keeping a run's telemetry out of RAM is a different job:
+that is :class:`~repro.telemetry.budget.TelemetryBudget`'s chunked
+column spill.
 """
 
 from __future__ import annotations

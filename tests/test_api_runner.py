@@ -12,12 +12,9 @@ from repro.api import (
     run_scenario,
     scenarios,
 )
-from repro.api.runner import (
-    AGGREGATED_METRICS,
-    AggregateStats,
-    _execute_task,
-)
-from repro.errors import ConfigurationError
+from repro.api.runner import AGGREGATED_METRICS, AggregateStats
+from repro.errors import ConfigurationError, SweepError
+from repro.faults import FaultPlan, FaultRule
 from repro.sim.clock import hours
 
 #: A deliberately small scenario so runner tests stay fast.
@@ -149,16 +146,15 @@ class TestBatchRunner:
             BatchRunner(jobs=0)
 
 
-def _boom_on_seed_2(task):
-    """A drop-in for ``_execute_task`` that fails exactly one cell.
+def _boom_on_seed_2(scenario, seed=None, **kwargs):
+    """A drop-in for ``run_scenario`` that fails exactly one cell.
 
-    Module-level so process pools can pickle it; under the fork start
-    method the monkeypatched module global propagates to pool workers.
+    The cell runner imports ``run_scenario`` at call time, and forked
+    workers inherit the monkeypatched module global.
     """
-    scenario_json, seed = task
     if seed == 2:
         raise RuntimeError("injected failure for seed 2")
-    return _execute_task(task)
+    return run_scenario(scenario, seed=seed, **kwargs)
 
 
 class TestFailureIsolation:
@@ -178,24 +174,41 @@ class TestFailureIsolation:
 
     def test_serial_failure_is_contained(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.api.runner._execute_task", _boom_on_seed_2
+            "repro.api.envelope.run_scenario", _boom_on_seed_2
         )
         batch = BatchRunner(jobs=1).run(TINY, seeds=[1, 2, 3])
         self.assert_isolated(batch)
 
     def test_pooled_failure_is_contained(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.api.runner._execute_task", _boom_on_seed_2
+            "repro.api.envelope.run_scenario", _boom_on_seed_2
         )
         batch = BatchRunner(jobs=2).run(TINY, seeds=[1, 2, 3])
         self.assert_isolated(batch)
 
     def test_strict_reraises(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.api.runner._execute_task", _boom_on_seed_2
+            "repro.api.envelope.run_scenario", _boom_on_seed_2
         )
-        with pytest.raises(RuntimeError, match="injected failure"):
+        with pytest.raises(SweepError, match="injected failure"):
             BatchRunner().run(TINY, seeds=[1, 2, 3], strict=True)
+
+    def test_crashed_worker_is_contained(self, tmp_path):
+        # A crash fault SIGKILLs the process it fires in, so only a
+        # pooled batch can survive it: the pool loses one child, and
+        # the batch one cell.
+        plan = FaultPlan(
+            rules=(
+                FaultRule(site="sweep.cell", kind="crash", match={"seed": 2}),
+            ),
+            state_dir=str(tmp_path / "budget"),
+        )
+        with plan.scoped():
+            batch = BatchRunner(jobs=2).run(TINY, seeds=[1, 2, 3])
+        assert [r.seed for r in batch.runs] == [1, 3]
+        (failure,) = batch.failures
+        assert (failure.scenario_name, failure.seed) == ("tiny", 2)
+        assert "died" in failure.error
 
     def test_failed_run_from_exception(self):
         try:

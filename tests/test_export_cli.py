@@ -109,6 +109,28 @@ class TestCli:
         assert "unique accesses" in output
         assert (tmp_path / "cli-out" / "results.json").exists()
 
+    def test_spilled_sharded_telemetry_out_matches_serial(
+        self, tmp_path, capsys
+    ):
+        # --telemetry-budget 0 keeps every row on disk during the run,
+        # composes with --shards, and exports the serial run's bytes.
+        common = ["run", "--seed", "2016", "--duration-days", "10"]
+        serial, spilled = tmp_path / "serial", tmp_path / "spilled"
+        assert main([*common, "--telemetry-out", str(serial)]) == 0
+        assert main([
+            *common,
+            "--shards", "2",
+            "--jobs", "1",
+            "--telemetry-budget", "0",
+            "--spill-dir", str(tmp_path / "chunks"),
+            "--telemetry-out", str(spilled),
+        ]) == 0
+        capsys.readouterr()
+        for name in ("accesses.jsonl", "notifications.jsonl"):
+            expected = (serial / name).read_bytes()
+            assert expected
+            assert (spilled / name).read_bytes() == expected
+
     def test_tables_command(self, capsys):
         exit_code = main(["tables", "--seed", "11"])
         assert exit_code == 0

@@ -20,7 +20,7 @@ from repro.core.sharding import (
     shard_of,
     stable_hash64,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SupervisionError
 from repro.shard import (
     ShardRun,
     dataset_mismatches,
@@ -141,6 +141,18 @@ class TestShardedEquivalence:
         assert not dataset_mismatches(
             in_process.dataset, pooled.dataset
         )
+
+    def test_shard_timeout_is_enforced_with_one_job(self):
+        # One job would run the shards in this process, where no
+        # deadline can be enforced; a timeout must fork them instead.
+        with pytest.raises(SupervisionError, match="timed out"):
+            run_sharded(
+                _short("fast", days=10.0).with_seed(2016),
+                shards=2,
+                jobs=1,
+                shard_timeout=0.001,
+                shard_retries=0,
+            )
 
     def test_outlet_restricted_scenario(self):
         scenario = _short("paste_only")

@@ -65,9 +65,10 @@ class TestSweepStoreFlow:
         assert any(r.get("status") == "deferred" for r in journal)
 
     def test_store_flags_require_store(self, capsys):
-        assert main(["sweep", "--seeds", "1", "--resume"]) == 2
-        err = capsys.readouterr().err
-        assert "--store" in err
+        for flags in (["--resume"], ["--cell-timeout", "5"]):
+            assert main(["sweep", "--seeds", "1", *flags]) == 2
+            err = capsys.readouterr().err
+            assert "--store" in err
 
     def test_multi_scenario_sweep(self, tmp_path, capsys):
         store = tmp_path / "store"

@@ -31,7 +31,7 @@ from repro.telemetry import (
 )
 from repro.webmail.account import Credentials
 from repro.webmail.activity import ActivityPage
-from repro.webmail.service import LoginContext, WebmailService
+from repro.webmail.service import WebmailService
 
 
 def make_access(account="a@x.example", cookie="ck-1", timestamp=0.0,
@@ -408,33 +408,6 @@ class TestMonitorTelemetry:
         monitor.notification_sink(heartbeat("target@gmail.example", 1.0))
         monitor.notification_sink(heartbeat("target@gmail.example", 2.0))
         assert monitor.notification_counts == {"heartbeat": 2}
-
-    def test_spill_telemetry_streams_jsonl(self, geo, tmp_path):
-        sim, service, monitor = self.make_world(geo)
-
-        def attacker_login():
-            context = LoginContext(
-                device_id="atk-dev",
-                ip_address=geo.allocate_in_city(city_by_name("Paris")),
-                user_agent="",
-            )
-            service.login(
-                "target@gmail.example", self.PASSWORD, context, sim.now
-            )
-
-        paths = monitor.spill_telemetry(tmp_path)
-        sim.schedule_at(hours(1), attacker_login)
-        sim.run_until(hours(13))
-        monitor.stop()
-        monitor.close_spill()
-        lines = paths[0].read_text().strip().splitlines()
-        assert len(lines) == len(monitor.access_store)
-        cities = [json.loads(line)["city"] for line in lines]
-        assert "Paris" in cities
-        # Closed sinks are detached: the stores stay appendable (they
-        # live on inside the run's dataset after the zero-copy handoff).
-        assert monitor.access_store.sinks == ()
-        monitor.notification_sink(heartbeat("target@gmail.example", 99.0))
 
     def test_scrape_uses_cursor_not_rescans(self, geo):
         sim, service, monitor = self.make_world(geo)
