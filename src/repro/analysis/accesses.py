@@ -48,17 +48,8 @@ class UniqueAccess:
 
 def clean_accesses(dataset: ObservedDataset) -> list[ObservedAccess]:
     """Drop monitoring-infrastructure rows (by IP, then by city)."""
-    cleaned = []
-    for access in dataset.accesses:
-        if access.ip_address in dataset.monitor_ips:
-            continue
-        if (
-            dataset.monitor_city is not None
-            and access.city == dataset.monitor_city
-        ):
-            continue
-        cleaned.append(access)
-    return cleaned
+    accesses = dataset.accesses
+    return [accesses[index] for index in _survivor_indices(dataset)]
 
 
 def extract_unique_accesses(
@@ -68,32 +59,11 @@ def extract_unique_accesses(
 
     Location and fingerprint fields come from the first located
     observation of the cookie (cookies are per-device, so these are
-    stable in practice; the first row wins on conflict).
-
-    Columnar datasets take a single-pass scan over the raw columns;
-    list-backed (legacy) datasets fall through to row iteration.  Both
-    paths produce identical output.
+    stable in practice; the first row wins on conflict).  One pass over
+    the columns; no intermediate row objects.
     """
-    store = getattr(dataset, "access_store", None)
-    if store is not None:
-        return _extract_unique_columnar(dataset, store)
-    return _extract_unique_rows(dataset)
-
-
-def _extract_unique_columnar(dataset, store) -> list[UniqueAccess]:
-    """One pass over the columns; no intermediate row objects."""
-    strings = store.strings
-    lookup = strings.lookup
-    monitor_ip_ids = {
-        ident
-        for ident in map(strings.id_of, dataset.monitor_ips)
-        if ident is not None
-    }
-    blocked_city_id = (
-        strings.id_of(dataset.monitor_city)
-        if dataset.monitor_city is not None
-        else None
-    )
+    store = dataset.access_store
+    lookup = store.strings.lookup
     ip_ids = store.ip_ids
     city_ids = store.city_ids
     timestamps = store.timestamps
@@ -101,32 +71,7 @@ def _extract_unique_columnar(dataset, store) -> list[UniqueAccess]:
     cookie_ids = store.cookie_ids
     by_cookie: dict[tuple[int, int], list[int]] = {}
     setdefault = by_cookie.setdefault
-    # The cleaning filter runs vectorised over views of the raw int64
-    # id columns — in a honey run the overwhelming majority of rows are
-    # the scraper's own logins, so the per-row Python loop below only
-    # ever touches the few-percent survivor set.  (numpy is already a
-    # hard dependency of the analysis layer: ecdf/cvm.)  The scan goes
-    # chunk by chunk: resident stores yield one full zero-copy view,
-    # spilled stores one mmap'd chunk at a time, so no full column is
-    # ever materialised.
-    from repro.telemetry.spill import iter_column_chunks
-
-    blocked_id = -1 if blocked_city_id is None else blocked_city_id
-    monitor_id_array = (
-        np.fromiter(monitor_ip_ids, np.int64) if monitor_ip_ids else None
-    )
-    survivors: list[int] = []
-    base = 0
-    for city_chunk, ip_chunk in zip(
-        iter_column_chunks(city_ids, np.int64),
-        iter_column_chunks(ip_ids, np.int64),
-    ):
-        keep = city_chunk != blocked_id
-        if monitor_id_array is not None:
-            keep &= ~np.isin(ip_chunk, monitor_id_array)
-        survivors.extend((np.nonzero(keep)[0] + base).tolist())
-        base += len(city_chunk)
-    for index in survivors:
+    for index in _survivor_indices(dataset):
         setdefault((account_ids[index], cookie_ids[index]), []).append(index)
     unique: list[UniqueAccess] = []
     for (account_id, cookie_id), indices in by_cookie.items():
@@ -167,40 +112,48 @@ def _extract_unique_columnar(dataset, store) -> list[UniqueAccess]:
     return unique
 
 
-def _extract_unique_rows(dataset) -> list[UniqueAccess]:
-    """The original object path, kept for legacy list-backed datasets."""
-    cleaned = clean_accesses(dataset)
-    by_cookie: dict[tuple[str, str], list[ObservedAccess]] = {}
-    for access in cleaned:
-        key = (access.account_address, access.cookie_id)
-        by_cookie.setdefault(key, []).append(access)
-    unique: list[UniqueAccess] = []
-    for (address, cookie_id), rows in by_cookie.items():
-        rows.sort(key=lambda r: r.timestamp)
-        first = rows[0]
-        located = next((r for r in rows if r.city is not None), first)
-        unique.append(
-            UniqueAccess(
-                account_address=address,
-                cookie_id=cookie_id,
-                t0=rows[0].timestamp,
-                t_last=rows[-1].timestamp,
-                observation_count=len(rows),
-                ip_addresses=tuple(
-                    dict.fromkeys(r.ip_address for r in rows)
-                ),
-                city=located.city,
-                country=located.country,
-                latitude=located.latitude,
-                longitude=located.longitude,
-                device_kind=first.device_kind,
-                browser=first.browser,
-                os_family=first.os_family,
-                empty_user_agent=(first.user_agent == ""),
-                )
-            )
-    unique.sort(key=lambda u: (u.t0, u.account_address, u.cookie_id))
-    return unique
+def _survivor_indices(dataset: ObservedDataset) -> list[int]:
+    """Access-row indices that survive cleaning, in append order.
+
+    The cleaning filter runs vectorised over views of the raw int64 id
+    columns — in a honey run the overwhelming majority of rows are the
+    scraper's own logins, so callers' per-row Python work only ever
+    touches the few-percent survivor set.  The scan goes chunk by
+    chunk: resident stores yield one full zero-copy view, spilled
+    stores one mmap'd chunk at a time, so no full column is ever
+    materialised.  Ids are compared instead of strings: a monitor IP or
+    city that was never interned matches no row.
+    """
+    from repro.telemetry.spill import iter_column_chunks
+
+    store = dataset.access_store
+    id_of = store.strings.id_of
+    monitor_ip_ids = {
+        ident
+        for ident in map(id_of, dataset.monitor_ips)
+        if ident is not None
+    }
+    blocked_city_id = (
+        id_of(dataset.monitor_city)
+        if dataset.monitor_city is not None
+        else None
+    )
+    blocked_id = -1 if blocked_city_id is None else blocked_city_id
+    monitor_id_array = (
+        np.fromiter(monitor_ip_ids, np.int64) if monitor_ip_ids else None
+    )
+    survivors: list[int] = []
+    base = 0
+    for city_chunk, ip_chunk in zip(
+        iter_column_chunks(store.city_ids, np.int64),
+        iter_column_chunks(store.ip_ids, np.int64),
+    ):
+        keep = city_chunk != blocked_id
+        if monitor_id_array is not None:
+            keep &= ~np.isin(ip_chunk, monitor_id_array)
+        survivors.extend((np.nonzero(keep)[0] + base).tolist())
+        base += len(city_chunk)
+    return survivors
 
 
 def observed_ip_strings(unique_accesses: list[UniqueAccess]) -> set[str]:

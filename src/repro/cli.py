@@ -644,6 +644,7 @@ def _run_resumed(args) -> int:
             ("--scenario-file", args.scenario_file),
             ("--paper-cadence", args.paper_cadence or None),
             ("--persona-mix", args.persona_mix),
+            ("--defenses", args.defenses),
             ("--duration-days", args.duration_days),
             ("--checkpoint-every", args.checkpoint_every),
             ("--shards", args.shards),

@@ -18,15 +18,12 @@ with a shared string-interning table, and the historical list-of-
 dataclass accessors (``dataset.accesses``, ``dataset.notifications``)
 are lazy :class:`~repro.telemetry.eventlog.RowView` adapters.  Code
 that *assigns* lists of records to those attributes keeps working — the
-setters ingest the rows into fresh columns.  The pre-refactor container
-survives as :class:`LegacyObservedDataset` (see :meth:`ObservedDataset.
-to_legacy`) so the object path can still be benchmarked and used as an
-equivalence oracle.
+setters ingest the rows into fresh columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -506,24 +503,6 @@ class ObservedDataset:
         }
         return dataset
 
-    def to_legacy(self) -> "LegacyObservedDataset":
-        """Materialise the pre-refactor list-of-dataclass container."""
-        return LegacyObservedDataset(
-            accesses=list(self.accesses),
-            notifications=list(self.notifications),
-            provenance=dict(self.provenance),
-            monitor_ips=set(self.monitor_ips),
-            monitor_city=self.monitor_city,
-            all_email_texts={
-                address: list(texts)
-                for address, texts in self.all_email_texts.items()
-            },
-            blocked_accounts=list(self.blocked_accounts),
-            scrape_failures=[tuple(row) for row in self._failure_log],
-            ground_truth_personas=dict(self.ground_truth_personas),
-            defense_actions=list(self.defense_actions),
-        )
-
     def __repr__(self) -> str:
         return (
             f"ObservedDataset({len(self._access_store)} accesses, "
@@ -531,38 +510,3 @@ class ObservedDataset:
             f"{len(self.provenance)} accounts)"
         )
 
-
-@dataclass
-class LegacyObservedDataset:
-    """The seed's object-path dataset: plain lists of frozen dataclasses.
-
-    Kept as the reference implementation for the telemetry equivalence
-    tests and the old-vs-columnar benchmarks.  The analysis layer
-    accepts it through the same row-iteration fallback it uses for any
-    duck-typed dataset.
-    """
-
-    accesses: list[ObservedAccess] = field(default_factory=list)
-    notifications: list[NotificationRecord] = field(default_factory=list)
-    provenance: dict[str, AccountProvenance] = field(default_factory=dict)
-    monitor_ips: set[str] = field(default_factory=set)
-    monitor_city: str | None = None
-    all_email_texts: dict[str, list[str]] = field(default_factory=dict)
-    blocked_accounts: list[tuple[str, float]] = field(default_factory=list)
-    scrape_failures: list[tuple[str, float]] = field(default_factory=list)
-    ground_truth_personas: dict[tuple[str, str], tuple[str, ...]] = field(
-        default_factory=dict
-    )
-    defense_actions: list[DefenseAction] = field(default_factory=list)
-
-    @property
-    def account_addresses(self) -> tuple[str, ...]:
-        return tuple(self.provenance)
-
-    def accesses_for(self, address: str) -> list[ObservedAccess]:
-        return [a for a in self.accesses if a.account_address == address]
-
-    def notifications_for(self, address: str) -> list[NotificationRecord]:
-        return [
-            n for n in self.notifications if n.account_address == address
-        ]

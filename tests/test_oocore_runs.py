@@ -130,6 +130,19 @@ class TestSpilledCopyFidelity:
             analyze(copy, scan_period=scan_period)
         ) == analysis_fingerprint(resident_run.analysis)
 
+    def test_spilled_copy_cleans_like_resident(self, tmp_path, resident_run):
+        from repro.analysis.accesses import clean_accesses
+
+        dataset = resident_run.dataset
+        copy = dataset.spilled_copy(tmp_path, chunk_rows=256)
+        # Several sealed chunks plus a tail, and a filter that both
+        # drops (the scraper's own rows) and keeps.
+        assert len(copy.access_store) > 3 * 256
+        assert len(copy.access_store) % 256
+        cleaned = clean_accesses(dataset)
+        assert 0 < len(cleaned) < len(dataset.accesses)
+        assert clean_accesses(copy) == cleaned
+
 
 class TestRunPerfAccounting:
     def test_perf_summary_reports_memory(self, resident_run):

@@ -214,6 +214,13 @@ class TestRunCheckpointCli:
         assert exit_code == 2
         assert "--scenario" in capsys.readouterr().err
 
+    def test_resume_from_rejects_defenses(self, capsys):
+        exit_code = main([
+            "run", "--resume-from", "x.pkl", "--defenses", "c3",
+        ])
+        assert exit_code == 2
+        assert "--defenses" in capsys.readouterr().err
+
     def test_resume_from_missing_file_exits_2(self, capsys):
         exit_code = main([
             "run", "--resume-from", "does-not-exist.pkl",

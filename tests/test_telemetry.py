@@ -327,15 +327,6 @@ class TestObservedDatasetColumnar:
         assert rebuilt.provenance["a@x.example"].group.name == "malware"
         assert rebuilt.blocked_accounts == [("a@x.example", 9.0)]
 
-    def test_to_legacy_matches_views(self):
-        dataset = ObservedDataset()
-        dataset.accesses = [make_access()]
-        dataset.notifications = [heartbeat("a@x.example", 1.0)]
-        legacy = dataset.to_legacy()
-        assert legacy.accesses == list(dataset.accesses)
-        assert legacy.notifications == list(dataset.notifications)
-        assert legacy.accesses_for("a@x.example") == list(dataset.accesses)
-
 
 class TestActivityPageCursors:
     def make_event(self, timestamp):
